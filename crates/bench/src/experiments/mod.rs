@@ -1,6 +1,6 @@
 //! One function per experiment in EXPERIMENTS.md. Each returns one or
 //! more [`crate::Table`]s ready to print; the `exp_*` binaries are thin
-//! wrappers.
+//! wrappers (`exp_all` for the figure and claim experiments).
 
 mod claims;
 mod figures;
@@ -20,39 +20,38 @@ pub use online_dump::{online_dump, OnlineDumpResult, OnlineDumpRow};
 pub use read_mix::{read_mix, ReadMixResult, ReadMixRow};
 pub use scaleout::{scaleout, ScaleoutResult, ScaleoutRow};
 
+/// One experiment: its tables, ready to print.
+pub type Experiment = fn() -> Vec<crate::Table>;
+
+/// The figure and claim experiments, by EXPERIMENTS.md ID, in canonical
+/// order (`exp_all --only ID` runs one of them).
+pub const EXPERIMENTS: [(&str, Experiment); 12] = [
+    ("F1", f1),
+    ("F2", f2),
+    ("F3", f3),
+    ("F4", f4),
+    ("T1", t1),
+    ("T2", t2),
+    ("T3", t3),
+    ("T4", t4),
+    ("T5", t5),
+    ("T6", t6),
+    ("T7", t7),
+    ("T8", t8),
+];
+
 /// Run every experiment (the `exp_all` binary), in parallel — each
 /// experiment builds its own simulated worlds, so they are independent;
 /// results are returned in the canonical F1..T8 order.
 pub fn all() -> Vec<crate::Table> {
-    type ExpFn = fn() -> Vec<crate::Table>;
-    let experiments: Vec<(usize, ExpFn)> = vec![
-        (0, f1 as ExpFn),
-        (1, f2),
-        (2, f3),
-        (3, f4),
-        (4, t1),
-        (5, t2),
-        (6, t3),
-        (7, t4),
-        (8, t5),
-        (9, t6),
-        (10, t7),
-        (11, t8),
-    ];
-    let results: parking_lot::Mutex<Vec<(usize, Vec<crate::Table>)>> =
-        parking_lot::Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
-        for (idx, f) in &experiments {
-            let results = &results;
-            let (idx, f) = (*idx, *f);
-            scope.spawn(move |_| {
-                let tables = f();
-                results.lock().push((idx, tables));
-            });
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = EXPERIMENTS
+            .iter()
+            .map(|&(_, f)| scope.spawn(f))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("experiment thread panicked"))
+            .collect()
     })
-    .expect("experiment thread panicked");
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|(idx, _)| *idx);
-    collected.into_iter().flat_map(|(_, t)| t).collect()
 }

@@ -6,7 +6,7 @@
 //!
 //! Run a single experiment:
 //! ```text
-//! cargo run -p encompass-bench --release --bin exp_t1
+//! cargo run -p encompass-bench --release --bin exp_all -- --only T1
 //! ```
 //! Run everything:
 //! ```text

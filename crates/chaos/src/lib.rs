@@ -8,26 +8,30 @@
 //! * [`Schedule::generate`] expands a seed into a cluster shape, a bank
 //!   workload, and a fault/heal timeline (CPU kills aimed at service
 //!   primaries, bus failures, partitions around the commit point, process
-//!   kills during backout);
-//! * [`run_schedule`] plays the timeline against the full application,
-//!   heals everything, quiesces, and then interrogates the system with
-//!   the oracles described in [`runner`];
+//!   kills during backout), plus a soak plan and a shard plan that its
+//!   layer flags switch on;
+//! * [`run`] is the one entry point: it plays any schedule — plain,
+//!   `dumps_enabled`, `soak_enabled` or `shards_enabled` — through one
+//!   phase sequence, heals everything, quiesces, interrogates the system
+//!   with the oracles described in [`runner`], and returns one
+//!   [`RunReport`];
 //! * the simulator is deterministic, so a failing seed is a one-line
 //!   repro: `cargo run -p encompass-chaos -- --seed N`.
 //!
 //! The sweep binary (`src/main.rs`) runs many seeds and fails loudly on
 //! the first invariant violation, printing the offending schedule.
+//! [`run_soak_schedule_with`] and [`SoakReport`] are a thin adapter over
+//! [`run`] kept for the benchmark under `tmfbench/`.
 
 pub mod oracles;
 pub mod probe;
 pub mod runner;
 pub mod schedule;
-pub mod shard;
+mod shard;
 pub mod soak;
 
-pub use runner::{run_schedule, run_schedule_with, run_seed, FlightDump, RunReport};
+pub use runner::{run, FlightDump, RunReport, Tier};
 pub use schedule::{
     ChaosAction, Schedule, ScheduledDump, ScheduledEvent, ShardPlan, SoakEpoch, SoakPlan,
 };
-pub use shard::{run_shard_schedule, run_shard_schedule_with, run_shard_seed, ShardReport};
-pub use soak::{run_soak_schedule, run_soak_schedule_with, run_soak_seed, SoakReport};
+pub use soak::{run_soak_schedule_with, SoakReport};

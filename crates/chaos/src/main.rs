@@ -5,72 +5,44 @@
 //! encompass-chaos --sweep COUNT       # seeds 0..COUNT
 //! encompass-chaos --sweep COUNT --start S
 //! encompass-chaos --sweep 10 --window 2000   # force a 2ms group-commit window
+//! encompass-chaos --soak --sweep 4    # the soak layer; --shards for the shard layer
 //! encompass-chaos                     # default: the 25-schedule CI smoke
 //! ```
 //!
-//! Exit status is non-zero if any run violates an invariant (or a seed
-//! fails to reproduce its own determinism hash).
+//! Every flag only sets a field of the seed's [`Schedule`]; one runner
+//! ([`encompass_chaos::run`]) plays it. Exit status is 1 if any run
+//! violates an invariant (or a seed fails to reproduce its own
+//! determinism hash) and 2 on bad arguments, including flags the chosen
+//! layer would ignore.
 
-use encompass_chaos::{
-    run_schedule, run_schedule_with, run_shard_schedule, run_shard_schedule_with,
-    run_soak_schedule, run_soak_schedule_with, RunReport, Schedule,
-};
+use encompass_chaos::{run, RunReport, Schedule, Tier};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed: Option<u64> = None;
     let mut sweep: Option<u64> = None;
     let mut start: u64 = 0;
-    let mut window: Option<u64> = None;
-    let mut dumps = false;
-    let mut partitions: Option<u64> = None;
-    let mut readers: Option<u64> = None;
-    let mut soak = false;
-    let mut shards = false;
+    let mut flags = Flags::default();
     let mut i = 0;
     while i < args.len() {
+        let value = |name: &str| parse_num(args.get(i + 1), name);
         match args[i].as_str() {
-            "--seed" => {
-                seed = Some(parse_num(args.get(i + 1), "--seed"));
-                i += 2;
-            }
-            "--sweep" => {
-                sweep = Some(parse_num(args.get(i + 1), "--sweep"));
-                i += 2;
-            }
-            "--start" => {
-                start = parse_num(args.get(i + 1), "--start");
-                i += 2;
-            }
-            "--window" => {
-                window = Some(parse_num(args.get(i + 1), "--window"));
-                i += 2;
-            }
-            "--dumps" => {
-                dumps = true;
-                i += 1;
-            }
+            "--seed" => seed = Some(value("--seed")),
+            "--sweep" => sweep = Some(value("--sweep")),
+            "--start" => start = value("--start"),
+            "--window" => flags.window = Some(value("--window")),
             "--partitions" => {
-                let n = parse_num(args.get(i + 1), "--partitions");
+                let n = value("--partitions");
                 if n == 0 {
                     eprintln!("--partitions needs a value >= 1");
                     std::process::exit(2);
                 }
-                partitions = Some(n);
-                i += 2;
+                flags.partitions = Some(n);
             }
-            "--readers" => {
-                readers = Some(parse_num(args.get(i + 1), "--readers"));
-                i += 2;
-            }
-            "--soak" => {
-                soak = true;
-                i += 1;
-            }
-            "--shards" => {
-                shards = true;
-                i += 1;
-            }
+            "--readers" => flags.readers = Some(value("--readers")),
+            "--dumps" => flags.dumps = true,
+            "--soak" => flags.soak = true,
+            "--shards" => flags.shards = true,
             "--help" | "-h" => {
                 print_usage();
                 return;
@@ -81,25 +53,31 @@ fn main() {
                 std::process::exit(2);
             }
         }
+        let takes_value = !matches!(args[i].as_str(), "--dumps" | "--soak" | "--shards");
+        if !matches!(args[i].as_str(), "--seed" | "--sweep" | "--start") {
+            flags
+                .repro
+                .push_str(&args[i..=i + usize::from(takes_value)].join(" "));
+            flags.repro.push(' ');
+        }
+        i += 1 + usize::from(takes_value);
     }
 
-    let failed = if shards {
-        match (seed, sweep) {
-            (Some(s), _) => run_shard_single(s, window),
-            (None, Some(count)) => run_shard_sweep(start, count, window),
-            (None, None) => run_shard_sweep(0, 5, window), // CI smoke
-        }
-    } else if soak {
-        match (seed, sweep) {
-            (Some(s), _) => run_soak_single(s, window, dumps, partitions, readers),
-            (None, Some(count)) => run_soak_sweep(start, count, window, dumps, partitions, readers),
-            (None, None) => run_soak_sweep(0, 3, window, dumps, partitions, readers), // CI smoke
-        }
-    } else {
-        match (seed, sweep) {
-            (Some(s), _) => run_single(s, window, dumps, partitions, readers),
-            (None, Some(count)) => run_sweep(start, count, window, dumps, partitions, readers),
-            (None, None) => run_sweep(0, 25, window, dumps, partitions, readers), // CI smoke default
+    if let Some(problem) = flags.conflict() {
+        eprintln!("{problem}");
+        std::process::exit(2);
+    }
+    let failed = match (seed, sweep) {
+        (Some(s), _) => run_single(s, &flags),
+        (None, Some(count)) => run_sweep(start, count, &flags),
+        // the CI smoke default of each layer
+        (None, None) => {
+            let count = match Tier::of(&flags.schedule(0)) {
+                Tier::Plain => 25,
+                Tier::Soak => 3,
+                Tier::Shard => 5,
+            };
+            run_sweep(0, count, &flags)
         }
     };
     if failed {
@@ -107,32 +85,60 @@ fn main() {
     }
 }
 
-/// Generate the schedule for `seed`, overriding the drawn group-commit
-/// window when `--window US` was given, enabling the online-dump plan
-/// when `--dumps` was, forcing both the audit-partition count and
-/// the volumes-per-node to N when `--partitions N` was, and pinning the
-/// read-only terminal count when `--readers N` was (`--readers 0`
-/// replays every seed's historical trace byte-for-byte).
-fn schedule_for(
-    seed: u64,
+/// The schedule-shaping flags.
+#[derive(Default)]
+struct Flags {
     window: Option<u64>,
     dumps: bool,
     partitions: Option<u64>,
     readers: Option<u64>,
-) -> Schedule {
-    let mut schedule = Schedule::generate(seed);
-    if let Some(us) = window {
-        schedule.group_commit_window_us = us;
+    soak: bool,
+    shards: bool,
+    /// The flags as given, for repro lines.
+    repro: String,
+}
+
+impl Flags {
+    /// A flag the chosen layer would silently drop.
+    fn conflict(&self) -> Option<&'static str> {
+        if self.soak && self.shards {
+            return Some("--soak and --shards are separate layers; pick one");
+        }
+        if self.soak && self.dumps {
+            return Some("--soak draws its own rolling dump plan; --dumps does not apply");
+        }
+        if self.shards && (self.dumps || self.partitions.is_some() || self.readers.is_some()) {
+            return Some(
+                "--shards runs the sharded bank; --dumps, --partitions and --readers do not apply",
+            );
+        }
+        None
     }
-    if let Some(p) = partitions {
-        schedule.audit_partitions = p as usize;
-        schedule.volumes_per_node = (p as usize).min(2);
+
+    /// Generate the schedule for `seed`, overriding the drawn
+    /// group-commit window when `--window US` was given, enabling the
+    /// online-dump plan when `--dumps` was, forcing both the
+    /// audit-partition count and the volumes-per-node to N when
+    /// `--partitions N` was, pinning the read-only terminal count when
+    /// `--readers N` was (`--readers 0` replays every seed's historical
+    /// trace byte-for-byte), and switching on the soak or shard layer.
+    fn schedule(&self, seed: u64) -> Schedule {
+        let mut schedule = Schedule::generate(seed);
+        if let Some(us) = self.window {
+            schedule.group_commit_window_us = us;
+        }
+        if let Some(p) = self.partitions {
+            schedule.audit_partitions = p as usize;
+            schedule.volumes_per_node = (p as usize).min(2);
+        }
+        if let Some(r) = self.readers {
+            schedule.readonly_terminals_per_node = r as usize;
+        }
+        schedule.dumps_enabled = self.dumps;
+        schedule.soak_enabled = self.soak;
+        schedule.shards_enabled = self.shards;
+        schedule
     }
-    if let Some(r) = readers {
-        schedule.readonly_terminals_per_node = r as usize;
-    }
-    schedule.dumps_enabled = dumps;
-    schedule
 }
 
 fn parse_num(arg: Option<&String>, flag: &str) -> u64 {
@@ -158,174 +164,24 @@ fn print_usage() {
          --shards runs each seed as a 4-6-node sharded bank (cross-shard transfers,\n\
          replicated branch records, one partition/heal cycle, for half the seeds a\n\
          CPU kill on a $SUSPENSE primary; suspense drain-liveness + replica\n\
-         convergence oracles on top of atomicity/conservation/leak checks)"
+         convergence oracles on top of atomicity/conservation/leak checks)\n\
+         --soak and --shards are exclusive; --soak takes no --dumps, --shards takes\n\
+         none of --dumps/--partitions/--readers (exit 2)"
     );
-}
-
-/// One shard seed, verbose, run twice (second run records) with the
-/// determinism-hash cross-check, like [`run_single`].
-fn run_shard_single(seed: u64, window: Option<u64>) -> bool {
-    let mut schedule = schedule_for(seed, window, false, None, None);
-    schedule.shards_enabled = true;
-    print!("{}", schedule.describe());
-    let a = run_shard_schedule(&schedule);
-    let b = run_shard_schedule_with(&schedule, true);
-    println!("{}", a.summary_line());
-    let mut failed = false;
-    if a.trace_hash != b.trace_hash {
-        println!(
-            "DETERMINISM VIOLATION: recorded rerun produced hash {:016x} != {:016x}",
-            b.trace_hash, a.trace_hash
-        );
-        failed = true;
-    }
-    for v in &a.violations {
-        println!("  violation: {v}");
-        failed = true;
-    }
-    if failed {
-        if !a.implicated.is_empty() {
-            println!("  implicated transactions: {}", a.implicated.join(", "));
-        }
-    } else {
-        println!("seed {seed}: all shard invariants hold, deterministic");
-    }
-    failed
-}
-
-fn run_shard_sweep(start: u64, count: u64, window: Option<u64>) -> bool {
-    let mut failures = 0u64;
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let mut drained = 0u64;
-    let mut takeovers = 0u64;
-    for seed in start..start + count {
-        let mut schedule = schedule_for(seed, window, false, None, None);
-        schedule.shards_enabled = true;
-        let report = run_shard_schedule(&schedule);
-        println!("{}", report.summary_line());
-        commits += report.commits;
-        aborts += report.aborts;
-        drained += report.applied;
-        takeovers += report.takeovers;
-        if !report.ok() {
-            failures += 1;
-            println!("--- failing schedule (repro: --shards --seed {seed}) ---");
-            print!("{}", report.schedule_desc);
-            for v in &report.violations {
-                println!("  violation: {v}");
-            }
-            if !report.implicated.is_empty() {
-                println!("  implicated transactions: {}", report.implicated.join(", "));
-            }
-        }
-    }
-    println!(
-        "sharded {count} schedules: {} ok, {failures} failed \
-         ({commits} commits, {aborts} aborts, {drained} deferred updates drained, \
-         {takeovers} suspense takeovers)",
-        count - failures
-    );
-    failures > 0
-}
-
-/// One soak seed, verbose, run twice (second run records) with the
-/// determinism-hash cross-check, like [`run_single`].
-fn run_soak_single(
-    seed: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let mut schedule = schedule_for(seed, window, dumps, partitions, readers);
-    schedule.soak_enabled = true;
-    print!("{}", schedule.describe());
-    let a = run_soak_schedule(&schedule);
-    let b = run_soak_schedule_with(&schedule, true);
-    println!("{}", a.summary_line());
-    if let Some(d) = &a.drill {
-        println!("  disaster drill: {d}");
-    }
-    let mut failed = false;
-    if a.run.trace_hash != b.run.trace_hash {
-        println!(
-            "DETERMINISM VIOLATION: recorded rerun produced hash {:016x} != {:016x}",
-            b.run.trace_hash, a.run.trace_hash
-        );
-        failed = true;
-    }
-    for v in &a.run.violations {
-        println!("  violation: {v}");
-        failed = true;
-    }
-    if failed {
-        dump_flight(&b.run);
-    } else {
-        println!("seed {seed}: all soak invariants hold, deterministic");
-    }
-    failed
-}
-
-fn run_soak_sweep(
-    start: u64,
-    count: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let mut failures = 0u64;
-    let mut restarts = 0u64;
-    let mut holds = 0u64;
-    let mut drills = 0u64;
-    let mut respawns = 0u64;
-    for seed in start..start + count {
-        let mut schedule = schedule_for(seed, window, dumps, partitions, readers);
-        schedule.soak_enabled = true;
-        let report = run_soak_schedule(&schedule);
-        println!("{}", report.summary_line());
-        restarts += report.reader_restarts;
-        holds += report.writer_commits;
-        respawns += report.client_respawns;
-        if report.drill.is_some() {
-            drills += 1;
-        }
-        if !report.ok() {
-            failures += 1;
-            println!("--- failing schedule (repro: --soak --seed {seed}) ---");
-            print!("{}", report.run.schedule_desc);
-            for v in &report.run.violations {
-                println!("  violation: {v}");
-            }
-            let recorded = run_soak_schedule_with(&schedule, true);
-            dump_flight(&recorded.run);
-        }
-    }
-    println!(
-        "soaked {count} schedules: {} ok, {failures} failed \
-         ({restarts} reader restarts, {holds} long-hold commits, {respawns} client respawns, \
-         {drills} disaster drills)",
-        count - failures
-    );
-    failures > 0
 }
 
 /// One seed, verbose: print the schedule, run it twice — the second time
 /// with the flight recorder on — and require both runs to produce the
 /// same determinism hash (which also pins recorder-off/on equivalence).
-fn run_single(
-    seed: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let schedule = schedule_for(seed, window, dumps, partitions, readers);
+fn run_single(seed: u64, flags: &Flags) -> bool {
+    let schedule = flags.schedule(seed);
     print!("{}", schedule.describe());
-    let a = run_schedule(&schedule);
-    let b = run_schedule_with(&schedule, true);
+    let a = run(&schedule, false);
+    let b = run(&schedule, true);
     println!("{}", a.summary_line());
+    if let Some(d) = &a.drill {
+        println!("  disaster drill: {d}");
+    }
     let mut failed = false;
     if a.trace_hash != b.trace_hash {
         println!(
@@ -356,7 +212,10 @@ fn dump_flight(report: &RunReport) {
     if report.implicated.is_empty() {
         println!("  implicated transactions: none named by the oracles");
     } else {
-        println!("  implicated transactions: {}", report.implicated.join(", "));
+        println!(
+            "  implicated transactions: {}",
+            report.implicated.join(", ")
+        );
         for t in &flight.timelines {
             print!("{t}");
         }
@@ -371,50 +230,56 @@ fn dump_flight(report: &RunReport) {
     }
 }
 
-fn run_sweep(
-    start: u64,
-    count: u64,
-    window: Option<u64>,
-    dumps: bool,
-    partitions: Option<u64>,
-    readers: Option<u64>,
-) -> bool {
-    let mut failures = 0u64;
-    let mut commits = 0u64;
-    let mut aborts = 0u64;
-    let mut takeover_commits = 0u64;
-    let mut dumps_done = 0u64;
-    let mut purged_files = 0u64;
+fn run_sweep(start: u64, count: u64, flags: &Flags) -> bool {
+    let mut reports: Vec<RunReport> = Vec::new();
     for seed in start..start + count {
-        let report = run_schedule(&schedule_for(seed, window, dumps, partitions, readers));
+        let schedule = flags.schedule(seed);
+        let report = run(&schedule, false);
         println!("{}", report.summary_line());
-        commits += report.commits;
-        aborts += report.aborts;
-        takeover_commits += report.takeover_commit_completions;
-        dumps_done += report.dumps_completed;
-        purged_files += report.purged_trail_files;
         if !report.ok() {
-            failures += 1;
-            println!("--- failing schedule (repro: --seed {seed}) ---");
+            println!(
+                "--- failing schedule (repro: {}--seed {seed}) ---",
+                flags.repro
+            );
             print!("{}", report.schedule_desc);
             for v in &report.violations {
                 println!("  violation: {v}");
             }
             // recording is hash-neutral, so this replays the same run
-            let recorded =
-                run_schedule_with(&schedule_for(seed, window, dumps, partitions, readers), true);
-            dump_flight(&recorded);
+            dump_flight(&run(&schedule, true));
         }
+        reports.push(report);
     }
+    let sum = |f: fn(&RunReport) -> u64| reports.iter().map(f).sum::<u64>();
+    let failures = reports.iter().filter(|r| !r.ok()).count() as u64;
     println!(
         "swept {count} schedules: {} ok, {failures} failed \
-         ({commits} commits, {aborts} aborts, {takeover_commits} commits completed by takeover)",
-        count - failures
+         ({} commits, {} aborts, {} commits completed by takeover)",
+        count - failures,
+        sum(|r| r.commits),
+        sum(|r| r.aborts),
+        sum(|r| r.takeover_commit_completions),
     );
-    if dumps {
-        println!(
-            "online dumps: {dumps_done} completed, {purged_files} trail files purged"
-        );
+    match reports.first().map(|r| r.tier) {
+        Some(Tier::Plain) if flags.dumps => println!(
+            "online dumps: {} completed, {} trail files purged",
+            sum(|r| r.dumps_completed),
+            sum(|r| r.purged_trail_files),
+        ),
+        Some(Tier::Soak) => println!(
+            "soak: {} reader restarts, {} long-hold commits, {} client respawns, \
+             {} disaster drills",
+            sum(|r| r.reader_restarts),
+            sum(|r| r.writer_commits),
+            sum(|r| r.client_respawns),
+            sum(|r| u64::from(r.drill.is_some())),
+        ),
+        Some(Tier::Shard) => println!(
+            "shards: {} deferred updates drained, {} suspense takeovers",
+            sum(|r| r.suspense_applied),
+            sum(|r| r.suspense_takeovers),
+        ),
+        Some(Tier::Plain) | None => {}
     }
     failures > 0
 }

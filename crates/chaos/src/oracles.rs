@@ -1,14 +1,16 @@
-//! Soak-tier oracle families: **liveness** and **bounded state**.
+//! Oracle families over probe observations: **liveness** (every layer),
+//! **bounded state** (soak) and **suspense drain** (shards).
 //!
-//! Both are pure functions over observation structs so that unit tests
+//! All are pure functions over observation structs so that unit tests
 //! can feed synthetic stuck schedules (a transaction that never
 //! resolves, a monitor boxcar that never flushes, a purge floor that
 //! never advances) and assert that each oracle fires with a message
-//! naming the implicated transid or process. The soak runner collects
-//! the observations from live probes ([`crate::probe::TmpStateProbe`],
-//! [`crate::probe::AuditStateProbe`], `DiscRequest::StateAudit`,
-//! `TmpMsg::ListOpen`, `DiscRequest::LockAudit`) and from the stable
-//! storage (dump registries, archive keys), then hands them here.
+//! naming the implicated transid or process. The runner collects the
+//! observations from live probes (`TmpMsg::ListOpen` and
+//! `DiscRequest::LockAudit` on every layer; on the soak layer also
+//! [`crate::probe::TmpStateProbe`], [`crate::probe::AuditStateProbe`],
+//! `DiscRequest::StateAudit`) and from the stable storage (dump
+//! registries, archive keys), then hands them here.
 
 use encompass_storage::audit_api::AuditStateReport;
 use encompass_storage::discprocess::DiscStateReport;
@@ -273,7 +275,7 @@ pub fn liveness_violations(
     v
 }
 
-/// One node's suspense-file drain status, observed by the shard runner
+/// One node's suspense-file drain status, observed by the shard layer
 /// after the heal barrier and a bounded drain window.
 #[derive(Clone, Debug)]
 pub struct SuspenseObservation {

@@ -4,9 +4,9 @@
 //! spawns one [`TmpProbe`] per node to ask its `$TMP` for the transids
 //! still in the transaction table (`TmpMsg::ListOpen`), and uses the
 //! storage test kit to ask every DISCPROCESS for a lock audit
-//! (`DiscRequest::LockAudit`). Both answers feed the leak oracles: after
-//! quiesce + heal there must be no open transactions, no held locks, and
-//! no parked lock waiters anywhere.
+//! (`DiscRequest::LockAudit`). Both answers feed the liveness oracle:
+//! after quiesce + heal there must be no open transactions, no held
+//! locks, and no parked lock waiters anywhere.
 
 use encompass_sim::{Ctx, NodeId, Payload, Pid, Process, SimDuration, TimerId};
 use encompass_storage::audit_api::{AuditMsg, AuditReply, AuditStateReport};

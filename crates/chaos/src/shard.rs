@@ -1,15 +1,15 @@
-//! Run one sharded-bank schedule end-to-end and check the sharding
-//! layer's invariants on top of the core TMF oracles.
+//! The shard layer: a sharded-bank schedule, with the sharding layer's
+//! invariants checked on top of the core TMF oracles.
 //!
 //! The `--shards` tier aims faults at the suspense-file subsystem: a
 //! partition isolates one shard mid-run so deferred branch updates pile
 //! up in its peers' suspense files, the heal lets the monitors drain,
 //! and for half the seeds an extra CPU kill lands on a `$SUSPENSE`
-//! primary so the drain must resume from the backup. The oracles are:
+//! primary so the drain must resume from the backup. The layer supplies
+//! the one runner's ([`crate::run`]) launch and fault phase ([`play`]),
+//! its post-tail heal barrier and drain window, its `$SUSPENSE` probes,
+//! and these oracles on top of atomicity and liveness:
 //!
-//! * **atomicity** — cross-shard transfers are distributed transactions;
-//!   their outcome must agree across every participant's Monitor Audit
-//!   Trail (reused from [`crate::runner`]);
 //! * **conservation** — transfers move money between accounts and
 //!   branch credits never touch them, so the account total is constant;
 //! * **drain liveness** — within a bounded sim-time window after the
@@ -18,101 +18,46 @@
 //!   ([`crate::oracles::suspense_drain_violations`], which names the
 //!   implicated node);
 //! * **replica convergence** — once the backlogs are empty, every ring
-//!   replica of every master's branch record equals the master copy;
-//! * **no leaks** — TMP tables empty, no locks held or waited on.
+//!   replica of every master's branch record equals the master copy.
 
 use crate::oracles::{suspense_drain_violations, SuspenseObservation};
-use crate::probe::TmpProbe;
-use crate::runner::check_atomicity;
+use crate::runner::{Layer, Played};
 use crate::schedule::Schedule;
 use encompass::app::{
-    launch_shard_bank, read_branch_copy, suspense_backlog, ShardBankAppParams,
+    launch_shard_bank, read_branch_copy, suspense_backlog, AppHandles, ShardBankAppParams,
 };
 use encompass::workload::total_balance;
-use encompass_shard::{SuspenseProbe, SuspenseReply, SUSPENSE_SERVICE};
+use encompass_shard::{ShardMap, SuspenseProbe, SuspenseReply, SUSPENSE_SERVICE};
 use encompass_sim::{CpuId, Fault, SimConfig, SimDuration, SimTime};
-use encompass_storage::discprocess::{DiscReply, DiscRequest};
-use encompass_storage::types::{Transid, VolumeRef};
-use guardian::Target;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Bounded drain window after the final heal barrier (sim-time, ms):
 /// the liveness oracle requires every suspense backlog to reach zero
 /// within it.
 pub(crate) const DRAIN_WINDOW_MS: u64 = 30_000;
 
-/// What one sharded-bank chaos run produced.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    pub seed: u64,
-    /// The determinism hash: same seed ⇒ same hash, always.
-    pub trace_hash: u64,
-    pub commits: u64,
-    pub aborts: u64,
-    /// Deferred updates the suspense monitors applied to replicas.
-    pub applied: u64,
-    /// Monitor apply transactions that aborted and were retried.
-    pub retries: u64,
-    /// `$SUSPENSE` takeovers (nonzero whenever the monitor-kill landed).
-    pub takeovers: u64,
-    pub end_ms: u64,
-    pub violations: Vec<String>,
-    /// The shard timeline, for one-line repro reports.
-    pub schedule_desc: String,
-    /// Transids implicated in atomicity disagreements or TMP leaks.
-    pub implicated: Vec<String>,
+/// What the shard layer carries from its fault phase into the runner's
+/// shared phases.
+pub(crate) struct Shard {
+    map: ShardMap,
+    /// Terminals across the shard bank.
+    pub(crate) terminals: usize,
+    /// When the partition healed; the run-out deadline counts from here.
+    pub(crate) heal_at: SimTime,
+    initial_total: i64,
+    backlog_at_heal: Vec<usize>,
+    probes: Vec<Rc<RefCell<Option<SuspenseReply>>>>,
 }
 
-impl ShardReport {
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    pub fn summary_line(&self) -> String {
-        format!(
-            "seed {:>6}  hash {:016x}  commits {:>4}  aborts {:>3}  drained {:>4}  \
-             takeovers {:>2}  t_end {:>6}ms  {}",
-            self.seed,
-            self.trace_hash,
-            self.commits,
-            self.aborts,
-            self.applied,
-            self.takeovers,
-            self.end_ms,
-            if self.ok() {
-                "ok".to_string()
-            } else {
-                format!("FAIL ({})", self.violations.len())
-            }
-        )
-    }
-}
-
-/// Generate the schedule for `seed` and run its shard plan.
-pub fn run_shard_seed(seed: u64) -> ShardReport {
-    let mut schedule = Schedule::generate(seed);
-    schedule.shards_enabled = true;
-    run_shard_schedule(&schedule)
-}
-
-/// Run one shard schedule to completion and evaluate every oracle.
-pub fn run_shard_schedule(schedule: &Schedule) -> ShardReport {
-    run_shard_schedule_with(schedule, false)
-}
-
-/// [`run_shard_schedule`], optionally with the flight recorder on.
-/// Recording is a pure side channel, so the trace hash is identical
-/// either way — the determinism cross-check runs a seed both ways.
-pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> ShardReport {
+/// The shard layer's launch and fault phase: the shard bank, then one
+/// partition/heal cycle and the optional `$SUSPENSE` monitor kill.
+pub(crate) fn play(schedule: &Schedule, sim: SimConfig) -> Played {
     let plan = &schedule.shard;
     let tmf = tmf::facility::TmfNodeConfig::builder()
         .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
         .build()
         .expect("schedule produced an invalid TMF config");
-    let sim = if flight_recorder {
-        SimConfig::default().flight_recording()
-    } else {
-        SimConfig::default()
-    };
     let accounts = plan.nodes as u64 * plan.accounts_per_node;
     let (mut app, map) = launch_shard_bank(ShardBankAppParams {
         nodes: plan.nodes,
@@ -129,16 +74,15 @@ pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Sh
         tmf,
         ..ShardBankAppParams::default()
     });
-    let initial_total = accounts as i64 * 1000;
 
-    // ---- phase 1: partition, heal, optional monitor kill ------------
     let partition_at = SimTime::from_micros(plan.partition_at_us);
     let heal_at = SimTime::from_micros(plan.partition_at_us + plan.heal_after_us);
     app.world.run_until(partition_at);
-    app.world.inject(Fault::Partition(vec![plan.partition_node]));
+    app.world
+        .inject(Fault::Partition(vec![plan.partition_node]));
     app.world.run_until(heal_at);
     app.world.inject(Fault::HealAllLinks);
-    let backlog_at_heal: Vec<usize> = app
+    let backlog_at_heal = app
         .nodes
         .iter()
         .map(|&n| suspense_backlog(&app.world, n, "$SB"))
@@ -151,28 +95,25 @@ pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Sh
             }
         }
     }
-
-    // ---- phase 2: run the workload out ------------------------------
-    let mut violations = Vec::new();
-    let total_terminals = (plan.nodes * plan.terminals_per_node) as u64;
-    let stall_deadline = heal_at + SimDuration::from_secs(120);
-    while app.world.metrics().get("tcp.terminals_finished") < total_terminals
-        && app.world.now() < stall_deadline
-    {
-        app.world.run_for(SimDuration::from_millis(500));
+    // every shard volume is a node's `$SB`
+    let volumes = app.catalog.all_volumes();
+    Played {
+        app,
+        volumes,
+        layer: Layer::Shard(Shard {
+            map,
+            terminals: plan.nodes * plan.terminals_per_node,
+            heal_at,
+            initial_total: accounts as i64 * 1000,
+            backlog_at_heal,
+            probes: Vec::new(),
+        }),
     }
-    if app.world.metrics().get("tcp.terminals_finished") < total_terminals {
-        violations.push(format!(
-            "workload stalled: {}/{} terminals finished by t={}ms",
-            app.world.metrics().get("tcp.terminals_finished"),
-            total_terminals,
-            app.world.now().as_millis()
-        ));
-    }
-    // safe-delivery tail: phase 2, abort notifications, backouts
-    app.world.run_for(SimDuration::from_secs(5));
+}
 
-    // ---- phase 3: heal barrier + bounded drain window ---------------
+/// Post-tail: heal every link and restore every CPU, then give the
+/// suspense monitors the bounded drain window.
+pub(crate) fn heal_and_drain(app: &mut AppHandles) {
     app.world.inject(Fault::HealAllLinks);
     for &node in &app.nodes {
         for c in 0..app.world.cpu_count(node) {
@@ -182,125 +123,69 @@ pub fn run_shard_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Sh
         }
     }
     app.world.run_for(SimDuration::from_millis(DRAIN_WINDOW_MS));
+}
 
-    // ---- phase 4: probes --------------------------------------------
-    let suspense_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, SuspenseProbe::spawn(&mut app.world, n)))
-        .collect();
-    let open_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, TmpProbe::spawn(&mut app.world, n)))
-        .collect();
-    let lock_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| {
-            let replies = encompass_storage::testkit::run_script(
-                &mut app.world,
-                n,
-                0,
-                Target::Named(n, "$SB".into()),
-                vec![DiscRequest::LockAudit],
-            );
-            (VolumeRef::new(n, "$SB"), replies)
-        })
-        .collect();
-    app.world.run_for(SimDuration::from_secs(3));
-
-    let trace_hash = app.world.trace_hash();
-    let commits = app.world.metrics().get("tmf.commits");
-    let aborts = app.world.metrics().get("tmf.aborts");
-    let applied = app.world.metrics().get("suspense.applied");
-    let retries = app.world.metrics().get("suspense.retries");
-    let takeovers = app.world.metrics().get("suspense.takeovers");
-    let end_ms = app.world.now().as_millis();
-
-    // ---- phase 5: oracles -------------------------------------------
-    let mut implicated: Vec<Transid> = Vec::new();
-    check_atomicity(&mut app.world, &app.nodes, &mut violations, &mut implicated);
-
-    let final_total = total_balance(&mut app.world, &app.catalog, "accounts");
-    if final_total != initial_total {
-        violations.push(format!(
-            "conservation: account total {final_total} != initial {initial_total} \
-             (off by {})",
-            initial_total - final_total
-        ));
+impl Shard {
+    /// Spawn one `$SUSPENSE` backlog probe per node (before the runner's
+    /// TMP and lock probes).
+    pub(crate) fn spawn_probes(&mut self, app: &mut AppHandles) {
+        self.probes = app
+            .nodes
+            .iter()
+            .map(|&n| SuspenseProbe::spawn(&mut app.world, n))
+            .collect();
     }
 
-    let suspense_obs: Vec<SuspenseObservation> = suspense_probes
-        .iter()
-        .enumerate()
-        .map(|(i, (node, slot))| SuspenseObservation {
-            node: node.to_string(),
-            backlog_at_heal: backlog_at_heal[i],
-            backlog_final: suspense_backlog(&app.world, *node, "$SB"),
-            probe: slot.borrow().as_ref().map(|r| match r {
-                SuspenseReply::Backlog {
-                    pending, applied, ..
-                } => (*pending, *applied),
-                SuspenseReply::Drained => (0, 0),
-            }),
-        })
-        .collect();
-    violations.extend(suspense_drain_violations(&suspense_obs, DRAIN_WINDOW_MS));
+    /// Oracle: the account total is constant.
+    pub(crate) fn check_conservation(&self, app: &mut AppHandles, violations: &mut Vec<String>) {
+        let final_total = total_balance(&mut app.world, &app.catalog, "accounts");
+        if final_total != self.initial_total {
+            violations.push(format!(
+                "conservation: account total {final_total} != initial {} (off by {})",
+                self.initial_total,
+                self.initial_total - final_total
+            ));
+        }
+    }
 
-    for &m in &app.nodes {
-        let master_copy = read_branch_copy(&app.world, m, m);
-        for r in map.replica_set(m, plan.branch_replicas) {
-            let replica_copy = read_branch_copy(&app.world, r, m);
-            if replica_copy != master_copy {
-                violations.push(format!(
-                    "convergence: replica at {r} of {m}'s branch record diverges \
-                     after drain ({replica_copy:?} vs master {master_copy:?})"
-                ));
+    /// Oracles: every suspense backlog drained within the window, and
+    /// every branch-record replica equals its master copy.
+    pub(crate) fn check_drain_and_replicas(
+        &self,
+        app: &AppHandles,
+        schedule: &Schedule,
+        violations: &mut Vec<String>,
+    ) {
+        let obs: Vec<SuspenseObservation> = app
+            .nodes
+            .iter()
+            .zip(&self.probes)
+            .zip(&self.backlog_at_heal)
+            .map(|((&node, slot), &backlog_at_heal)| SuspenseObservation {
+                node: node.to_string(),
+                backlog_at_heal,
+                backlog_final: suspense_backlog(&app.world, node, "$SB"),
+                probe: slot.borrow().as_ref().map(|r| match r {
+                    SuspenseReply::Backlog {
+                        pending, applied, ..
+                    } => (*pending, *applied),
+                    SuspenseReply::Drained => (0, 0),
+                }),
+            })
+            .collect();
+        violations.extend(suspense_drain_violations(&obs, DRAIN_WINDOW_MS));
+
+        for &m in &app.nodes {
+            let master_copy = read_branch_copy(&app.world, m, m);
+            for r in self.map.replica_set(m, schedule.shard.branch_replicas) {
+                let replica_copy = read_branch_copy(&app.world, r, m);
+                if replica_copy != master_copy {
+                    violations.push(format!(
+                        "convergence: replica at {r} of {m}'s branch record diverges \
+                         after drain ({replica_copy:?} vs master {master_copy:?})"
+                    ));
+                }
             }
         }
-    }
-
-    for (node, slot) in &open_probes {
-        match &*slot.borrow() {
-            None => violations.push(format!("{node}: $TMP unreachable after heal")),
-            Some(open) if !open.is_empty() => {
-                implicated.extend(open.iter().copied());
-                violations.push(format!(
-                    "{node}: {} transaction(s) leaked in the TMP table: {open:?}",
-                    open.len()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    implicated.sort();
-    implicated.dedup();
-    for (vol, replies) in &lock_probes {
-        match replies.borrow().first() {
-            Some(DiscReply::LockAudit { held: 0, waiting: 0 }) => {}
-            Some(DiscReply::LockAudit { held, waiting }) => violations.push(format!(
-                "{}.{}: {held} lock(s) still held, {waiting} waiter(s) parked after quiesce",
-                vol.node, vol.volume
-            )),
-            other => violations.push(format!(
-                "{}.{}: lock audit failed: {other:?}",
-                vol.node, vol.volume
-            )),
-        }
-    }
-
-    ShardReport {
-        seed: schedule.seed,
-        trace_hash,
-        commits,
-        aborts,
-        applied,
-        retries,
-        takeovers,
-        end_ms,
-        violations,
-        schedule_desc: schedule.describe(),
-        implicated: implicated.iter().map(|t| t.to_string()).collect(),
     }
 }

@@ -1,4 +1,4 @@
-//! The `--soak` tier: simulated hours per seed.
+//! The soak layer: simulated hours per seed.
 //!
 //! A soak run stretches one seed over at least one simulated hour,
 //! structured as repeating fault *epochs*. Each epoch delivers one
@@ -11,9 +11,10 @@
 //! mid-traffic, and the volume is recovered with ROLLFORWARD from its
 //! latest fuzzy archive while the survivors keep serving.
 //!
-//! On top of the short-run oracles (atomicity, conservation, leak
-//! freedom, convergence), the soak tier evaluates two families that only
-//! make sense over a long horizon — see [`crate::oracles`]:
+//! The layer supplies the one runner's ([`crate::run`]) fault phase
+//! ([`play`]), its run-out condition (soak clients must finish too),
+//! its state probes, and two oracle families that only make sense over
+//! a long horizon — see [`crate::oracles`]:
 //!
 //! * **liveness** — every begun transaction reaches a terminal state,
 //!   monitor/audit boxcars and lock wait queues drain, purge floors
@@ -27,27 +28,27 @@ use crate::oracles::{
     bounded_violations, liveness_violations, ClientStatus, LivenessObservation, PurgeFloorTrack,
     StateCaps, StateKind, StateObservation,
 };
-use crate::probe::{AuditStateProbe, TmpProbe, TmpStateProbe};
+use crate::probe::{AuditStateProbe, TmpStateProbe};
 use crate::runner::{
-    apply, check_atomicity, check_conservation, check_convergence, heal_everything,
-    snapshot_archives, AuditFlushClient, DumpClient, FlightDump, RunReport, ACCOUNTS,
+    apply, heal_everything, launch_bank, live_cpu, start_dump, tmf_config, trail_key_of, Layer,
+    Played, RunReport, ACCOUNTS,
 };
-use crate::schedule::{ChaosAction, Schedule};
+use crate::schedule::{ChaosAction, Schedule, ScheduledDump};
 use bytes::Bytes;
-use encompass::app::{launch_bank_app, BankAppParams};
+use encompass::app::AppHandles;
 use encompass::workload::account_key;
 use encompass_audit::rollforward::rollforward_volume;
 use encompass_sim::{
-    format_timeline, CpuId, Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration,
-    SimTime, TimerId, World,
+    Ctx, Fault, NodeId, Payload, Pid, Process, SimConfig, SimDuration, SimTime, TimerId,
+    World,
 };
 use encompass_storage::discprocess::{DiscError, DiscReply, DiscRequest};
 use encompass_storage::media::{
     archive_key, dump_registry_key, media_key, ArchiveImage, DumpRegistry, VolumeMedia,
 };
-use encompass_storage::types::{Transid, VolumeRef};
+use encompass_storage::types::VolumeRef;
 use encompass_storage::Catalog;
-use guardian::{Rpc, Target};
+use guardian::Target;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -61,8 +62,8 @@ const SOAK_SNAPSHOT_UNDO: usize = 64;
 /// Archive generations retained per volume while soaking.
 const SOAK_ARCHIVE_RETAIN: u64 = 2;
 
-/// What one soak run produced: the short-run report plus soak-specific
-/// tallies.
+/// A soak run's report in the shape the benchmark compiles against: the
+/// one runner's [`RunReport`] plus copies of its soak tallies.
 #[derive(Clone, Debug)]
 pub struct SoakReport {
     pub run: RunReport,
@@ -85,84 +86,64 @@ impl SoakReport {
     }
 
     pub fn summary_line(&self) -> String {
-        format!(
-            "seed {:>6}  hash {:016x}  commits {:>5}  aborts {:>4}  t_end {:>8}ms  \
-             epochs {}  restarts {:>2}  holds {:>3}  {}{}",
-            self.run.seed,
-            self.run.trace_hash,
-            self.run.commits,
-            self.run.aborts,
-            self.run.end_ms,
-            self.epochs,
-            self.reader_restarts,
-            self.writer_commits,
-            if self.drill.is_some() { "drill " } else { "" },
-            if self.ok() {
-                "ok".to_string()
-            } else {
-                format!("FAIL ({})", self.run.violations.len())
-            }
-        )
+        self.run.summary_line()
     }
 }
 
-/// Generate the schedule for `seed` and soak it.
-pub fn run_soak_seed(seed: u64) -> SoakReport {
-    let mut schedule = Schedule::generate(seed);
-    schedule.soak_enabled = true;
-    run_soak_schedule(&schedule)
-}
-
-/// Run one soak schedule to completion and evaluate every oracle.
-pub fn run_soak_schedule(schedule: &Schedule) -> SoakReport {
-    run_soak_schedule_with(schedule, false)
-}
-
-/// [`run_soak_schedule`], optionally with the flight recorder on.
-/// Recording is a pure side channel, so the trace hash is identical
-/// either way and a failing seed replays the same execution recorded.
+/// [`crate::run`] on a schedule with `soak_enabled` set, reported as a
+/// [`SoakReport`].
 pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> SoakReport {
+    let run = crate::run(schedule, flight_recorder);
+    SoakReport {
+        epochs: run.epochs,
+        reader_restarts: run.reader_restarts,
+        writer_commits: run.writer_commits,
+        writer_aborts: run.writer_aborts,
+        client_respawns: run.client_respawns,
+        drill: run.drill.clone(),
+        run,
+    }
+}
+
+/// What the soak layer carries from its fault phase into the runner's
+/// shared phases.
+pub(crate) struct Soak {
+    /// End of the last epoch; the run-out deadline counts from here.
+    pub(crate) horizon: SimTime,
+    clients: Vec<ClientHandle>,
+    bounded_obs: Vec<StateObservation>,
+    floors: BTreeMap<String, PurgeFloorTrack>,
+    max_generation: u64,
+    final_probes: Option<StateProbes>,
+    /// `Some(description)` once the full-disaster drill ran.
+    pub(crate) drill: Option<String>,
+}
+
+/// The soak layer's launch and fault phase: the bank app with a soak TMF
+/// configuration, one long-hold writer and one long-lived reader per
+/// node, then the epoch loop, then heal everything.
+pub(crate) fn play(schedule: &Schedule, sim: SimConfig) -> Played {
     let plan = &schedule.soak;
     let gap = plan.epoch_gap_us;
     let horizon = SimTime::from_micros(plan.epochs as u64 * gap);
-    let tmf = tmf::facility::TmfNodeConfig::builder()
-        .group_commit_window(SimDuration::from_micros(schedule.group_commit_window_us))
-        .audit_partitions(schedule.audit_partitions.max(1))
+    let tmf = tmf_config(schedule)
         .trail_purge_interval(SimDuration::from_micros(plan.trail_purge_interval_us))
         .audit_rotate_every(schedule.audit_rotate_every)
         .archive_retain(SOAK_ARCHIVE_RETAIN)
-        .snapshot_undo_capacity(SOAK_SNAPSHOT_UNDO)
-        .build()
-        .expect("soak schedule produced an invalid TMF config");
-    let sim = if flight_recorder {
-        SimConfig::default().flight_recording()
-    } else {
-        SimConfig::default()
-    };
+        .snapshot_undo_capacity(SOAK_SNAPSHOT_UNDO);
     // Terminals pace themselves over the horizon: cap the drawn think
     // time so each terminal's budget fits in ~60% of it, leaving the
     // run-out phase to absorb fault-induced restarts.
     let think_ms = plan
         .think_ms
         .min(horizon.as_millis() * 3 / 5 / plan.transactions_per_terminal.max(1));
-    let mut app = launch_bank_app(BankAppParams {
-        node_cpus: vec![schedule.cpus_per_node; schedule.nodes],
-        volumes_per_node: schedule.volumes_per_node.max(1),
-        accounts: ACCOUNTS,
-        terminals_per_node: schedule.terminals_per_node,
-        readonly_terminals_per_node: schedule.readonly_terminals_per_node,
-        transactions_per_terminal: plan.transactions_per_terminal,
-        think: SimDuration::from_millis(think_ms.max(1)),
-        hot_fraction: schedule.hot_fraction,
-        hot_set: 8,
-        seed: schedule.seed,
-        lock_wait: SimDuration::from_millis(300),
-        sim,
+    let (mut app, volumes) = launch_bank(
+        schedule,
         tmf,
-        ..BankAppParams::default()
-    });
-    let volumes: Vec<VolumeRef> = app.catalog.all_volumes();
-    snapshot_archives(&mut app.world, &volumes);
+        sim,
+        plan.transactions_per_terminal,
+        SimDuration::from_millis(think_ms.max(1)),
+    );
 
     // Partition-slot layout, mirroring the bank app: slot j covers
     // accounts [ACCOUNTS*j/slots, ...) on volume j%vpn of node j/vpn.
@@ -179,20 +160,8 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         .collect();
     let drill: Option<(usize, usize)> = plan.disaster.map(|(e, s)| (e, s % slots.len()));
     let drill_slot = drill.map(|(_, s)| s);
-
-    // Per-volume trail keys (a volume's images live on exactly one
-    // partition of its node's trail) — needed by the drill rollforward
-    // and the final convergence oracle.
-    let trail_key_of: BTreeMap<(NodeId, String), String> = app
-        .tmf
-        .iter()
-        .flat_map(|h| {
-            let node = h.node;
-            h.trail_key_of
-                .iter()
-                .map(move |(vol, key)| ((node, vol.clone()), key.clone()))
-        })
-        .collect();
+    // the drill's rollforward reads only its volume's trail partition
+    let trail_key_of = trail_key_of(&app);
 
     // ---- long-lived soak clients ------------------------------------
     // One long-hold writer and one long-lived snapshot reader per node.
@@ -204,10 +173,19 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
     // data; the in-run drill intentionally only recovers what had
     // settled by its own rollforward point.
     let hold = SimDuration::from_micros(gap.saturating_mul(plan.writer_hold_epochs.max(1)));
-    let mut clients: Vec<ClientHandle> = Vec::new();
+    let reader_pause = SimDuration::from_millis(plan.reader_pause_ms);
+    let mut soak = Soak {
+        horizon,
+        clients: Vec::new(),
+        bounded_obs: Vec::new(),
+        floors: BTreeMap::new(),
+        max_generation: plan.epochs as u64 + 1,
+        final_probes: None,
+        drill: None,
+    };
     for (i, &node) in app.nodes.iter().enumerate() {
         let slot = writer_slot(i, vpn, slots.len(), drill_slot);
-        clients.push(spawn_writer(
+        soak.clients.push(spawn_writer(
             &mut app.world,
             &app.catalog,
             node,
@@ -217,22 +195,17 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
             hold,
             horizon,
         ));
-        clients.push(spawn_reader(
+        soak.clients.push(spawn_reader(
             &mut app.world,
             &app.catalog,
             node,
             1,
-            SimDuration::from_millis(plan.reader_pause_ms),
+            reader_pause,
             horizon,
         ));
     }
 
     // ---- the epoch loop ---------------------------------------------
-    let mut bounded_obs: Vec<StateObservation> = Vec::new();
-    let mut floors: BTreeMap<String, PurgeFloorTrack> = BTreeMap::new();
-    let mut drill_desc: Option<String> = None;
-    let mut respawns = 0u64;
-    let max_generation = plan.epochs as u64 + 1;
     for e in 0..plan.epochs {
         let base = e as u64 * gap;
         let ep = &plan.plan[e];
@@ -275,22 +248,12 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         }
 
         // rolling dump generation at 35% on the drawn node
-        app.world
-            .run_until(SimTime::from_micros(base + gap * 35 / 100));
-        let cpu = (0..app.world.cpu_count(ep.dump_node))
-            .find(|&c| app.world.cpu_up(ep.dump_node, CpuId(c)))
-            .unwrap_or(0);
-        for v in volumes.iter().filter(|v| v.node == ep.dump_node) {
-            app.world.spawn(
-                ep.dump_node,
-                cpu,
-                Box::new(DumpClient {
-                    volume: v.clone(),
-                    generation: e as u64 + 1,
-                    rpc: Rpc::new(2),
-                }),
-            );
-        }
+        let dump = ScheduledDump {
+            at: SimTime::from_micros(base + gap * 35 / 100),
+            node: ep.dump_node,
+            generation: e as u64 + 1,
+        };
+        start_dump(&mut app.world, &volumes, &dump);
 
         // restore wave at 55%
         if !kill_skipped {
@@ -325,7 +288,7 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
                 .unwrap_or_default();
             let _ = rollforward_volume(&mut app.world, v, &keys, generation);
             app.world.metrics_mut().add("chaos.drill_recoveries", 1);
-            drill_desc = Some(format!(
+            soak.drill = Some(format!(
                 "epoch {e}: {}.{} lost both drives mid-traffic, rolled forward from \
                  archive generation {generation}",
                 v.node, v.volume
@@ -338,20 +301,17 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
         let probes = spawn_state_probes(&mut app.world, &app.nodes, &volumes);
         app.world
             .run_until(SimTime::from_micros(base + gap - 1_000_000));
-        collect_state_probes(&probes, e, &mut bounded_obs);
-        observe_stable_state(&app.world, &volumes, e, max_generation, &mut bounded_obs);
-        track_purge_floors(&app.world, &volumes, &mut floors);
+        soak.observe(&app.world, &probes, &volumes, e);
 
         app.world.run_until(SimTime::from_micros(base + gap));
         // respawn soak clients that died with their processor (a plain
         // process does not survive a CPU kill); the replacement gets a
         // fresh key generation so its inserts never collide
-        for idx in 0..clients.len() {
-            let c = &clients[idx];
+        for idx in 0..soak.clients.len() {
+            let c = &soak.clients[idx];
             if c.finished.borrow().is_none() && !app.world.is_alive(c.pid) {
                 *c.finished.borrow_mut() =
                     Some("died with its processor; respawned".to_string());
-                respawns += 1;
                 app.world.metrics_mut().add("chaos.soak_respawns", 1);
                 let replacement = match c.kind {
                     ClientKind::Writer { slot } => spawn_writer(
@@ -369,222 +329,119 @@ pub fn run_soak_schedule_with(schedule: &Schedule, flight_recorder: bool) -> Soa
                         &app.catalog,
                         c.node,
                         c.generation + 1,
-                        SimDuration::from_millis(plan.reader_pause_ms),
+                        reader_pause,
                         horizon,
                     ),
                 };
-                clients.push(replacement);
+                soak.clients.push(replacement);
             }
         }
     }
-
-    // ---- run out the workload, then drain ---------------------------
     heal_everything(&mut app.world, schedule);
-    let mut violations = Vec::new();
-    let total_terminals = (schedule.nodes
-        * (schedule.terminals_per_node + schedule.readonly_terminals_per_node))
-        as u64;
-    let stall_deadline = horizon + SimDuration::from_secs(900);
-    loop {
-        let terminals_done =
-            app.world.metrics().get("tcp.terminals_finished") >= total_terminals;
-        let clients_done = clients
+    Played {
+        app,
+        volumes,
+        layer: Layer::Soak(Box::new(soak)),
+    }
+}
+
+impl Soak {
+    /// Run-out condition: every soak client finished or died.
+    pub(crate) fn clients_done(&self, world: &World) -> bool {
+        self.clients
             .iter()
-            .all(|c| c.finished.borrow().is_some() || !app.world.is_alive(c.pid));
-        if (terminals_done && clients_done) || app.world.now() >= stall_deadline {
-            break;
-        }
-        app.world.run_for(SimDuration::from_secs(2));
+            .all(|c| c.finished.borrow().is_some() || !world.is_alive(c.pid))
     }
-    if app.world.metrics().get("tcp.terminals_finished") < total_terminals {
-        violations.push(format!(
-            "workload stalled: {}/{} terminals finished by t={}ms",
-            app.world.metrics().get("tcp.terminals_finished"),
-            total_terminals,
-            app.world.now().as_millis()
-        ));
-    }
-    // a client that died inside the final epoch has no boundary left to
-    // respawn it; excuse it (its transactions are still covered by the
-    // leak and atomicity oracles)
-    for c in &clients {
-        if c.finished.borrow().is_none() && !app.world.is_alive(c.pid) {
-            *c.finished.borrow_mut() = Some("died in the final epoch".to_string());
-        }
-    }
-    // safe-delivery tail: phase 2, abort notifications, backouts
-    app.world.run_for(SimDuration::from_secs(5));
-    // flush every AUDITPROCESS buffer to the trail media before the
-    // convergence oracle (and the liveness probes) read it
-    for &node in &app.nodes {
-        app.world
-            .spawn(node, 0, Box::new(AuditFlushClient::new(node)));
-    }
-    app.world.run_for(SimDuration::from_secs(2));
 
-    // ---- final probes -----------------------------------------------
-    let open_probes: Vec<_> = app
-        .nodes
-        .iter()
-        .map(|&n| (n, TmpProbe::spawn(&mut app.world, n)))
-        .collect();
-    let final_probes = spawn_state_probes(&mut app.world, &app.nodes, &volumes);
-    let lock_probes: Vec<_> = volumes
-        .iter()
-        .map(|v| {
-            let replies = encompass_storage::testkit::run_script(
-                &mut app.world,
-                v.node,
-                0,
-                Target::Named(v.node, v.volume.clone()),
-                vec![DiscRequest::LockAudit],
-            );
-            (v.clone(), replies)
-        })
-        .collect();
-    app.world.run_for(SimDuration::from_secs(3));
-    collect_state_probes(&final_probes, usize::MAX, &mut bounded_obs);
-    observe_stable_state(
-        &app.world,
-        &volumes,
-        usize::MAX,
-        max_generation,
-        &mut bounded_obs,
-    );
-    track_purge_floors(&app.world, &volumes, &mut floors);
-
-    let trace_hash = app.world.trace_hash();
-    let commits = app.world.metrics().get("tmf.commits");
-    let aborts = app.world.metrics().get("tmf.aborts");
-    let takeover_commit_completions =
-        app.world.metrics().get("tmf.takeover_commit_completions");
-    let dumps_completed = app.world.metrics().get("dump.completed");
-    let purged_trail_files = app.world.metrics().get("tmf.purged_trail_files");
-    let end_ms = app.world.now().as_millis();
-
-    // ---- oracles ----------------------------------------------------
-    let mut implicated: Vec<Transid> = Vec::new();
-    check_atomicity(&mut app.world, &app.nodes, &mut violations, &mut implicated);
-    check_conservation(&mut app.world, &app.catalog, &app.nodes, &mut violations);
-
-    // liveness observations from the final probes
-    let mut live_obs: Vec<LivenessObservation> = Vec::new();
-    for (node, slot) in &open_probes {
-        let mut o = LivenessObservation {
-            process: format!("$TMP@{node}"),
-            ..Default::default()
-        };
-        match &*slot.borrow() {
-            None => o.unreachable = true,
-            Some(open) => {
-                implicated.extend(open.iter().copied());
-                o.open_transids = open.iter().map(|t| t.to_string()).collect();
+    /// A client that died inside the final epoch has no boundary left to
+    /// respawn it; excuse it (its transactions are still covered by the
+    /// leak and atomicity oracles).
+    pub(crate) fn excuse_dead_clients(&self, world: &World) {
+        for c in &self.clients {
+            if c.finished.borrow().is_none() && !world.is_alive(c.pid) {
+                *c.finished.borrow_mut() = Some("died in the final epoch".to_string());
             }
         }
-        if let Some(r) = &*final_probes.tmp[node.0 as usize].1.borrow() {
-            o.monitor_boxcar = r.monitor_boxcar;
-            o.monitor_inflight = r.monitor_inflight;
-            o.outstanding_rpcs = r.deliveries
-                + r.early_releases
-                + r.backouts
-                + r.phase1_disc
-                + r.phase1_tmp
-                + r.remote_begins
-                + r.janitor_rpcs
-                + r.purge_rpcs;
-        }
-        live_obs.push(o);
     }
-    for (node, slot) in &final_probes.audit {
-        let mut o = LivenessObservation {
-            process: format!("$AUDIT@{node}"),
-            ..Default::default()
-        };
-        match &*slot.borrow() {
-            None => o.unreachable = true,
-            Some(r) => {
-                o.audit_buffered = r.buffered;
-                o.audit_waiters = r.waiters;
+
+    /// Spawn the end-of-run state probes (between the runner's TMP and
+    /// lock probes).
+    pub(crate) fn spawn_final_probes(&mut self, app: &mut AppHandles, volumes: &[VolumeRef]) {
+        self.final_probes = Some(spawn_state_probes(&mut app.world, &app.nodes, volumes));
+    }
+
+    /// Fold the answered end-of-run state probes into the observations.
+    pub(crate) fn observe_final(&mut self, world: &World, volumes: &[VolumeRef]) {
+        let probes = self.final_probes.take().expect("final state probes spawned");
+        self.observe(world, &probes, volumes, usize::MAX);
+        self.final_probes = Some(probes);
+    }
+
+    /// Record one boundary's bounded-state observations and purge-floor
+    /// progress.
+    fn observe(&mut self, world: &World, probes: &StateProbes, volumes: &[VolumeRef], epoch: usize) {
+        collect_state_probes(probes, epoch, &mut self.bounded_obs);
+        observe_stable_state(world, volumes, epoch, self.max_generation, &mut self.bounded_obs);
+        track_purge_floors(world, volumes, &mut self.floors);
+    }
+
+    /// Add the final state probes' detail to the runner's per-node `$TMP`
+    /// observations (`obs` holds exactly those, in node order), then one
+    /// observation per `$AUDIT`.
+    pub(crate) fn add_liveness_detail(&self, obs: &mut Vec<LivenessObservation>) {
+        let probes = self.final_probes.as_ref().expect("final state probes spawned");
+        for (o, (_, slot)) in obs.iter_mut().zip(&probes.tmp) {
+            if let Some(r) = &*slot.borrow() {
+                o.monitor_boxcar = r.monitor_boxcar;
+                o.monitor_inflight = r.monitor_inflight;
+                o.outstanding_rpcs = r.deliveries
+                    + r.early_releases
+                    + r.backouts
+                    + r.phase1_disc
+                    + r.phase1_tmp
+                    + r.remote_begins
+                    + r.janitor_rpcs
+                    + r.purge_rpcs;
             }
         }
-        live_obs.push(o);
-    }
-    for (vol, replies) in &lock_probes {
-        let mut o = LivenessObservation {
-            process: format!("{}@{}", vol.volume, vol.node),
-            ..Default::default()
-        };
-        match replies.borrow().first() {
-            Some(DiscReply::LockAudit { held, waiting }) => {
-                o.locks_held = *held;
-                o.lock_waiters = *waiting;
+        for (node, slot) in &probes.audit {
+            let mut o = LivenessObservation {
+                process: format!("$AUDIT@{node}"),
+                ..Default::default()
+            };
+            match &*slot.borrow() {
+                None => o.unreachable = true,
+                Some(r) => {
+                    o.audit_buffered = r.buffered;
+                    o.audit_waiters = r.waiters;
+                }
             }
-            _ => o.unreachable = true,
+            obs.push(o);
         }
-        live_obs.push(o);
     }
-    implicated.sort();
-    implicated.dedup();
 
-    let client_statuses: Vec<ClientStatus> = clients
-        .iter()
-        .map(|c| ClientStatus {
-            name: c.name.clone(),
-            finished: c.finished.borrow().clone(),
-            last_state: c.last_state.borrow().clone(),
-        })
-        .collect();
-    let floor_tracks: Vec<PurgeFloorTrack> = floors.into_values().collect();
-    violations.extend(liveness_violations(&live_obs, &client_statuses, &floor_tracks));
-    violations.extend(bounded_violations(
-        &bounded_obs,
-        &StateCaps::soak(SOAK_SNAPSHOT_UNDO, SOAK_ARCHIVE_RETAIN as usize),
-    ));
-    check_convergence(&mut app.world, &volumes, &trail_key_of, &mut violations);
-
-    let flight = if flight_recorder {
-        let by_txn = app.world.flightrec().timelines();
-        let empty = Vec::new();
-        let timelines = implicated
+    /// The liveness oracle over `obs` plus every soak client and purge
+    /// floor, then the bounded-state oracle.
+    pub(crate) fn liveness_and_bounded_violations(
+        &mut self,
+        obs: &[LivenessObservation],
+    ) -> Vec<String> {
+        let clients: Vec<ClientStatus> = self
+            .clients
             .iter()
-            .map(|t| {
-                let ft = t.flight_id();
-                format_timeline(ft, by_txn.get(&ft).unwrap_or(&empty))
+            .map(|c| ClientStatus {
+                name: c.name.clone(),
+                finished: c.finished.borrow().clone(),
+                last_state: c.last_state.borrow().clone(),
             })
             .collect();
-        Some(FlightDump {
-            json: app.world.flightrec().to_json(),
-            timelines,
-            timelines_by_txn: by_txn,
-            committed: crate::runner::committed_transids(&app.world, &app.nodes),
-        })
-    } else {
-        None
-    };
-
-    let mut schedule_desc = schedule.clone();
-    schedule_desc.soak_enabled = true;
-    SoakReport {
-        run: RunReport {
-            seed: schedule.seed,
-            trace_hash,
-            commits,
-            aborts,
-            takeover_commit_completions,
-            dumps_completed,
-            purged_trail_files,
-            end_ms,
-            violations,
-            schedule_desc: schedule_desc.describe(),
-            implicated: implicated.iter().map(|t| t.to_string()).collect(),
-            flight,
-        },
-        epochs: plan.epochs,
-        reader_restarts: app.world.metrics().get("chaos.reader_restarts"),
-        writer_commits: app.world.metrics().get("chaos.soak_writer_commits"),
-        writer_aborts: app.world.metrics().get("chaos.soak_writer_aborts"),
-        client_respawns: respawns,
-        drill: drill_desc,
+        let floors: Vec<PurgeFloorTrack> = std::mem::take(&mut self.floors).into_values().collect();
+        let mut v = liveness_violations(obs, &clients, &floors);
+        v.extend(bounded_violations(
+            &self.bounded_obs,
+            &StateCaps::soak(SOAK_SNAPSHOT_UNDO, SOAK_ARCHIVE_RETAIN as usize),
+        ));
+        v
     }
 }
 
@@ -736,12 +593,6 @@ struct ClientHandle {
     kind: ClientKind,
     finished: Rc<RefCell<Option<String>>>,
     last_state: Rc<RefCell<String>>,
-}
-
-fn live_cpu(world: &World, node: NodeId) -> u8 {
-    (0..world.cpu_count(node))
-        .find(|&c| world.cpu_up(node, CpuId(c)))
-        .unwrap_or(0)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -3,8 +3,12 @@
 //! sweep (hundreds of seeds) runs from the CLI: `cargo run -p
 //! encompass-chaos --release -- --sweep N`.
 
-use encompass_chaos::{run_schedule, run_seed, Schedule};
+use encompass_chaos::{run, RunReport, Schedule};
 use encompass_sim::SimTime;
+
+fn run_seed(seed: u64) -> RunReport {
+    run(&Schedule::generate(seed), false)
+}
 
 /// With every fault stripped from the timeline the oracles must hold
 /// trivially — if this fails, the harness itself (not TMF) is broken.
@@ -13,7 +17,7 @@ fn no_fault_baseline_converges() {
     let mut s = Schedule::generate(1);
     s.events.clear();
     s.heal_at = SimTime::from_micros(200_000);
-    let r = run_schedule(&s);
+    let r = run(&s, false);
     assert!(r.ok(), "violations: {:#?}", r.violations);
     assert!(r.commits > 0, "the workload actually ran");
 }

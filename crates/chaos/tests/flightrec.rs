@@ -7,7 +7,7 @@
 //! first test pins that equivalence; the second checks the records are
 //! complete enough to be worth reading.
 
-use encompass_chaos::{run_schedule, run_schedule_with, Schedule};
+use encompass_chaos::{run, Schedule};
 use encompass_sim::FlightCause;
 
 /// Recorder on vs off: bit-identical trace hashes over full chaos
@@ -16,8 +16,8 @@ use encompass_sim::FlightCause;
 fn recorder_is_trace_hash_neutral() {
     for seed in [5, 11] {
         let schedule = Schedule::generate(seed);
-        let off = run_schedule(&schedule);
-        let on = run_schedule_with(&schedule, true);
+        let off = run(&schedule, false);
+        let on = run(&schedule, true);
         assert_eq!(
             off.trace_hash, on.trace_hash,
             "seed {seed}: enabling the flight recorder changed the execution"
@@ -38,7 +38,7 @@ fn recorder_is_trace_hash_neutral() {
 #[test]
 fn committed_transactions_have_complete_timelines() {
     let schedule = Schedule::generate(4);
-    let report = run_schedule_with(&schedule, true);
+    let report = run(&schedule, true);
     assert!(report.ok(), "violations: {:#?}", report.violations);
     let flight = report.flight.expect("recorded run");
     assert!(!flight.committed.is_empty(), "the workload actually ran");

@@ -10,7 +10,7 @@
 //! dump plus the surviving (possibly purged) trails reproduces the live
 //! committed state.
 
-use encompass_chaos::{run_schedule, run_schedule_with, Schedule};
+use encompass_chaos::{run, Schedule};
 
 fn dump_schedule(seed: u64) -> Schedule {
     let mut schedule = Schedule::generate(seed);
@@ -24,8 +24,8 @@ fn dump_schedule(seed: u64) -> Schedule {
 fn recorder_is_trace_hash_neutral_with_dumps() {
     for seed in [5, 11] {
         let schedule = dump_schedule(seed);
-        let off = run_schedule(&schedule);
-        let on = run_schedule_with(&schedule, true);
+        let off = run(&schedule, false);
+        let on = run(&schedule, true);
         assert_eq!(
             off.trace_hash, on.trace_hash,
             "seed {seed}: enabling the flight recorder changed a dump-mode run"
@@ -46,7 +46,7 @@ fn recorder_is_trace_hash_neutral_with_dumps() {
 fn fuzzy_dump_rollforward_converges() {
     let mut dumps_completed = 0;
     for seed in [0, 4, 7] {
-        let report = run_schedule(&dump_schedule(seed));
+        let report = run(&dump_schedule(seed), false);
         assert!(report.ok(), "seed {seed} violations: {:#?}", report.violations);
         dumps_completed += report.dumps_completed;
     }
